@@ -79,11 +79,10 @@ bestBackend()
         return Backend::Avx512;
     if (backendAvailable(Backend::Avx2))
         return Backend::Avx2;
-    // No SIMD: prefer Portable — it models the 8-lane SIMD kernels in
-    // plain C++, so dispatch exercises the same algorithms (and data
-    // layout) as the vector tiers — before the last-resort Scalar path.
-    if (backendAvailable(Backend::Portable))
-        return Backend::Portable;
+    // No SIMD: Scalar. Portable models the 8-lane SIMD kernels in plain
+    // C++ and is 3.5-5.2x slower than Scalar at every committed n
+    // (BENCH_ntt.json radix-2, n = 256..65536), so it is never the
+    // default.
     return Backend::Scalar;
 }
 

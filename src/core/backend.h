@@ -71,10 +71,10 @@ enum class Reduction
  * Auto (the public-API default) resolves to the measured-fastest shape
  * for the (backend, n) pair via ntt::resolveStageFusion():
  * BENCH_ntt.json shows fusion is a pure win on Scalar (~1.1-1.2x at
- * every n) but slightly regresses the vector backends below the largest
- * sizes (fused_speedup 0.93-0.99 at n <= 16384), where the extra
- * shuffle work outweighs the saved sweeps. Backends never see Auto —
- * the dispatcher resolves it first.
+ * every n); on the vector tiers it measures AVX2 1.003-1.042 and
+ * AVX-512 0.87-0.91 (see the resolveStageFusion comment for the
+ * thresholds). Backends never see Auto — the dispatcher resolves it
+ * first.
  */
 enum class StageFusion
 {

@@ -3,9 +3,10 @@
  * Engine facade implementation: batched RNS channel dispatch, with the
  * robustness plumbing (robust/) threaded through every op — optional
  * cancellation checkpoints at task boundaries, policy-driven Freivalds
- * verification with repair-through-the-serial-path, and a fallback from
- * the interleaved batch kernels to the per-channel path on injected
- * batch failures.
+ * verification with repair, and a fallback from the interleaved batch
+ * kernels to the per-channel path on injected batch failures. Repairs
+ * and fallbacks rerun the ordinary channel kernels under
+ * robust::ScopedFaultSuppression.
  */
 #include "engine/engine.h"
 
@@ -14,6 +15,7 @@
 #include <memory>
 
 #include "core/config.h"
+#include "robust/fault_injection.h"
 #include "robust/status.h"
 #include "telemetry/telemetry.h"
 
@@ -77,7 +79,7 @@ batchFallbacks()
 
 /**
  * Whether a StatusError escaping a batch kernel should propagate
- * instead of falling back to the serial path: cancellation and
+ * instead of falling back to the per-channel path: cancellation and
  * corruption verdicts are about the op, not the kernel, and must reach
  * the caller. An injected kernel fault (FaultInjected) is exactly the
  * failure the fallback exists for.
@@ -127,13 +129,14 @@ Engine::verifyRepairPolymul(
         return;
     verifyFailures().add(1);
     // The channel failed the evaluation identity: recompute it through
-    // the fault-free serial path (no pools, no fault points) and
-    // re-check. The repair is a full recomputation, so re-checking at
-    // the same cached point is sound — a correct product always passes.
+    // the same kernel with fault points suppressed and re-check. The
+    // repair is a full recomputation, so re-checking at the same cached
+    // point is sound — a correct product always passes.
+    robust::ScopedFaultSuppression quiet;
     for (size_t attempt = 0; attempt < verify_.max_retries; ++attempt) {
         robustRetries().add(1);
-        rns::detail::polymulChannelUnfaulted(backend_, basis, channel,
-                                             tables, a, b, c);
+        rns::detail::polymulChannel(backend_, basis, channel, tables,
+                                    workspaces_, a, b, c);
         if (robust::checkNegacyclicPolymul(
                 backend_, m, tables->psi(), a.channel(channel).span(),
                 b.channel(channel).span(), c.channel(channel).span(),
@@ -169,10 +172,11 @@ Engine::verifyRepairFma(
                                    c.channel(channel).span(), verify_.seed))
         return;
     verifyFailures().add(1);
+    robust::ScopedFaultSuppression quiet;
     for (size_t attempt = 0; attempt < verify_.max_retries; ++attempt) {
         robustRetries().add(1);
-        rns::detail::fmaChannelUnfaulted(backend_, basis, channel, tables,
-                                         products, c);
+        rns::detail::fmaChannel(backend_, basis, channel, tables,
+                                workspaces_, products, c);
         if (robust::checkNegacyclicFma(backend_, m, tables->psi(), spans,
                                        c.channel(channel).span(),
                                        verify_.seed)) {
@@ -198,9 +202,10 @@ Engine::verifyRepairAdd(const rns::RnsBasis& basis, size_t channel,
                                c.channel(channel).span()))
         return;
     verifyFailures().add(1);
+    robust::ScopedFaultSuppression quiet;
     for (size_t attempt = 0; attempt < verify_.max_retries; ++attempt) {
         robustRetries().add(1);
-        rns::detail::addChannelUnfaulted(backend_, basis, channel, a, b, c);
+        rns::detail::addChannel(backend_, basis, channel, a, b, c);
         if (robust::checkAddDigest(m, a.channel(channel).span(),
                                    b.channel(channel).span(),
                                    c.channel(channel).span())) {
@@ -455,6 +460,15 @@ Engine::fmaBatchInto(
             auto tables =
                 plan_cache_.getNegacyclic(basis.prime(i), first.n());
             if (batched) {
+                // Injected batch-kernel failure: recompute this channel
+                // through the per-channel kernel, fault points
+                // suppressed, so one broken tile can't sink the whole op.
+                auto redoChannel = [&] {
+                    batchFallbacks().add(1);
+                    robust::ScopedFaultSuppression quiet;
+                    rns::detail::fmaChannel(backend_, basis, i, tables,
+                                            workspaces_, products, c);
+                };
                 try {
                     rns::detail::fmaChannelBatched(backend_, basis, i,
                                                    tables, workspaces_,
@@ -462,16 +476,9 @@ Engine::fmaBatchInto(
                 } catch (const robust::StatusError& e) {
                     if (propagateFromBatchKernel(e))
                         throw;
-                    // Injected batch-kernel failure: recompute this
-                    // channel through the fault-free serial path so one
-                    // broken tile can't sink the whole op.
-                    batchFallbacks().add(1);
-                    rns::detail::fmaChannelUnfaulted(backend_, basis, i,
-                                                     tables, products, c);
+                    redoChannel();
                 } catch (const std::exception&) {
-                    batchFallbacks().add(1);
-                    rns::detail::fmaChannelUnfaulted(backend_, basis, i,
-                                                     tables, products, c);
+                    redoChannel();
                 }
             } else {
                 rns::detail::fmaChannel(backend_, basis, i, tables,
@@ -564,14 +571,16 @@ Engine::polymulNegacyclicBatch(
                 if (slot < tiles) {
                     const size_t p0 = slot * il;
                     // Injected batch-kernel failure: redo every lane of
-                    // this tile through the serial path.
+                    // this tile through the per-channel kernel, fault
+                    // points suppressed.
                     auto redoTile = [&] {
                         batchFallbacks().add(1);
+                        robust::ScopedFaultSuppression quiet;
                         for (size_t p = p0; p < p0 + il; ++p) {
-                            rns::detail::polymulChannelUnfaulted(
+                            rns::detail::polymulChannel(
                                 backend_, basis, channel, tables,
-                                *products[p].first, *products[p].second,
-                                results[p]);
+                                workspaces_, *products[p].first,
+                                *products[p].second, results[p]);
                         }
                     };
                     try {

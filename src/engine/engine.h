@@ -11,10 +11,11 @@
  * task set — the same independent-lane scheduling that accelerators
  * like CRYPTONITE exploit, on commodity cores.
  *
- * Determinism: channel results never depend on execution order, so an
- * Engine with any thread count is bit-identical to the serial
- * RnsKernels path; with threads == 1 it IS the serial path (the pool
- * runs tasks inline on the caller, in channel order).
+ * This is the only facade over the RNS ops; `Engine(backend, 1)` is the
+ * serial path (the pool runs tasks inline on the caller, in channel
+ * order). Determinism: channel results never depend on execution order,
+ * so an Engine with any thread count is bit-identical to that serial
+ * one.
  */
 #pragma once
 
@@ -44,9 +45,9 @@ struct EngineOptions
      * Integrity verification (robust/verify.h): with a non-Off policy,
      * checked ops run a Freivalds evaluation identity per channel after
      * the kernels and transparently recompute failing channels through
-     * the serial per-channel path (bounded retries, then
-     * robust::StatusError with DataCorruption). Off by default: zero
-     * overhead.
+     * the same channel kernel, fault points suppressed (bounded
+     * retries, then robust::StatusError with DataCorruption). Off by
+     * default: zero overhead.
      */
     robust::VerifyOptions verify;
     /**
@@ -214,10 +215,11 @@ class Engine
     /**
      * Check-and-repair helpers: run the Freivalds (or digest) identity
      * on one finished channel; on mismatch recompute it through the
-     * fault-free serial path up to verify_.max_retries times, then
-     * surface DataCorruption. All checks of one (q, n) shape share the
-     * cached evaluation point for verify_.seed — the point where any
-     * single flipped word is detected deterministically.
+     * same channel kernel under robust::ScopedFaultSuppression up to
+     * verify_.max_retries times, then surface DataCorruption. All checks
+     * of one (q, n) shape share the cached evaluation point for
+     * verify_.seed — the point where any single flipped word is detected
+     * deterministically.
      */
     void verifyRepairPolymul(
         const rns::RnsBasis& basis, size_t channel,

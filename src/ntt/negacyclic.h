@@ -203,8 +203,8 @@ class NegacyclicEngine
 
 /**
  * A mutex-guarded free-list of NegacyclicEngine workspaces shared by
- * the channel-dispatch layers (engine::Engine's pool threads, the
- * serial RnsKernels loop). acquire() leases an engine rebound to the
+ * engine::Engine's channel tasks (pool threads, or the caller itself
+ * when the pool is one wide). acquire() leases an engine rebound to the
  * requested tables — popping a recycled instance when one is free, so
  * in steady state a channel op costs a mutex lock and a pointer pop
  * instead of four length-n buffer allocations. The lease returns the

@@ -54,12 +54,12 @@ resolveStageFusion(Backend backend, size_t n, StageFusion fusion)
 {
     if (fusion != StageFusion::Auto)
         return fusion;
-    // BENCH_ntt.json (committed): Scalar fused_speedup is 1.11-1.21x at
-    // every measured n, so it always fuses. Every vector/MQX tier
-    // measures 0.93-0.999 below n = 65536 (the shuffle-heavy fused
-    // bodies lose to the plain radix-2 sweeps while the working set is
-    // cache-resident) and is neutral at 65536, where fewer sweeps start
-    // to matter — so they keep radix-2 below that threshold.
+    // BENCH_ntt.json (committed) fused_speedup: Scalar measures
+    // 1.12-1.24x at every n, so it always fuses. The vector tiers do not
+    // match the threshold below: AVX2 measures 1.003-1.042 (fusion a
+    // marginal win at every n) and AVX-512 0.87-0.91 (a loss at every n,
+    // 65536 included). Every non-Scalar tier keeps radix-2 below
+    // n = 65536 and fuses at and above it.
     if (backend == Backend::Scalar)
         return StageFusion::Radix4;
     constexpr size_t kVectorRadix4MinN = 65536;

@@ -160,6 +160,30 @@ class ScopedFaultInjection
     detail::ActivePlan* state_;
 };
 
+/**
+ * Suppresses every fault point on the calling thread for this object's
+ * lifetime (scopes nest). A suppressed hit is neither counted nor
+ * fired, so per-point hit indices — and with them seed determinism —
+ * are exactly what they would be without the suppressed work. The
+ * engine's verify-repair and batch-fallback paths recompute through
+ * the ordinary channel kernels inside one of these, so an armed plan
+ * can never re-corrupt a repair. An empty type unless fault injection
+ * is compiled in.
+ */
+class ScopedFaultSuppression
+{
+  public:
+#if MQX_FAULT_INJECTION_ENABLED
+    ScopedFaultSuppression();
+    ~ScopedFaultSuppression();
+#else
+    // User-provided so an unused instance draws no warning.
+    ScopedFaultSuppression() {}
+#endif
+    ScopedFaultSuppression(const ScopedFaultSuppression&) = delete;
+    ScopedFaultSuppression& operator=(const ScopedFaultSuppression&) = delete;
+};
+
 /** True when the tree was built with -DMQX_FAULT_INJECTION=ON. */
 constexpr bool
 faultInjectionCompiledIn()

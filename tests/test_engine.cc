@@ -98,6 +98,16 @@ TEST(Integration, BackendAvailabilityIsConsistent)
     EXPECT_NE(bestBackend(), Backend::MqxPisa);
 }
 
+TEST(Integration, ScalarIsBestWithoutSimd)
+{
+    // Portable measures 3.5-5.2x slower than Scalar at every committed
+    // n (BENCH_ntt.json), so a host without AVX2/AVX-512 dispatches to
+    // Scalar. The portable-only build exercises this branch.
+    if (backendAvailable(Backend::Avx512) || backendAvailable(Backend::Avx2))
+        GTEST_SKIP() << "a SIMD tier is available";
+    EXPECT_EQ(bestBackend(), Backend::Scalar);
+}
+
 TEST(Integration, BackendNamesAreUnique)
 {
     std::vector<std::string> names;

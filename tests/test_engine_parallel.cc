@@ -2,8 +2,8 @@
  * @file
  * Parallel execution engine tests: the thread pool primitives, plan
  * cache hit behavior, and — the load-bearing property — bit-identical
- * results between the threaded engine and the serial RnsKernels path
- * on every available backend, including under concurrent batch
+ * results between the threaded engine and the one-thread (serial)
+ * engine on every available backend, including under concurrent batch
  * submission from multiple caller threads.
  */
 #include <gtest/gtest.h>
@@ -285,7 +285,7 @@ TEST(EngineParallel, ThreadedMatchesSerialOnAllBackends)
 
     for (Backend be : test::availableCorrectBackends()) {
         SCOPED_TRACE(backendName(be));
-        rns::RnsKernels serial(basis, be);
+        engine::Engine serial(be, 1);
         auto add_ref = serial.add(a, b);
         auto mul_ref = serial.mul(a, b);
         auto poly_ref = serial.polymulNegacyclic(a, b);
@@ -314,7 +314,7 @@ TEST(EngineParallelLargeN, ThreadedPolymulRoundTripAt65536)
     auto b = rns::randomPolynomial(basis, n, 162);
 
     Backend be = bestBackend();
-    rns::RnsKernels serial(basis, be);
+    engine::Engine serial(be, 1);
     auto poly_ref = serial.polymulNegacyclic(a, b);
 
     engine::Engine eng(be, 4);
@@ -332,24 +332,6 @@ TEST(EngineParallelLargeN, ThreadedPolymulRoundTripAt65536)
     // Round trip through the evaluation form at the same size.
     auto back = eng.toCoeff(eng.toEval(a));
     expectIdentical(back, a);
-}
-
-TEST(EngineParallel, RnsKernelsRoutedThroughEngineMatchesSerial)
-{
-    const auto& basis = testBasis();
-    auto a = rns::randomPolynomial(basis, 128, 7);
-    auto b = rns::randomPolynomial(basis, 128, 8);
-
-    Backend be = bestBackend();
-    rns::RnsKernels serial(basis, be);
-    engine::Engine eng(be, 4);
-    rns::RnsKernels routed(basis, eng);
-
-    expectIdentical(routed.add(a, b), serial.add(a, b));
-    expectIdentical(routed.mul(a, b), serial.mul(a, b));
-    expectIdentical(routed.polymulNegacyclic(a, b),
-                    serial.polymulNegacyclic(a, b));
-    EXPECT_GT(eng.planCache().size(), 0u);
 }
 
 TEST(EngineParallel, OperandValidation)
@@ -386,7 +368,7 @@ TEST(EngineParallel, BatchMatchesIndividualOps)
 
     auto results = eng.polymulNegacyclicBatch(products);
     ASSERT_EQ(results.size(), products.size());
-    rns::RnsKernels serial(basis, eng.backend());
+    engine::Engine serial(eng.backend(), 1);
     for (size_t i = 0; i < results.size(); ++i)
         expectIdentical(results[i], serial.polymulNegacyclic(as[i], bs[i]));
 }
@@ -399,7 +381,7 @@ TEST(EngineParallel, ConcurrentBatchSubmission)
 
     auto a = rns::randomPolynomial(basis, n, 11);
     auto b = rns::randomPolynomial(basis, n, 12);
-    rns::RnsKernels serial(basis, eng.backend());
+    engine::Engine serial(eng.backend(), 1);
     auto reference = serial.polymulNegacyclic(a, b);
 
     // Several external threads hammer the same engine: every result

@@ -3,8 +3,8 @@
  * Evaluation-form RNS polynomial tests: form tracking and validation,
  * toEval/toCoeff round trips, mulEval against the full polymul
  * pipeline, the fused fmaBatch dot product (bit-identical to the naive
- * sum of serial products, on both the serial and engine paths), the
- * serial NegacyclicTables cache, and the allocation-light
+ * sum of serial products, on one-thread and pooled engines), PlanCache
+ * table reuse on the one-thread engine, and the allocation-light
  * decomposeInto.
  */
 #include <gtest/gtest.h>
@@ -58,7 +58,7 @@ TEST(Form, ToEvalRoundTripsOnBothPaths)
     const auto& basis = testBasis();
     auto a = rns::randomPolynomial(basis, 64, 21);
 
-    rns::RnsKernels serial(basis, Backend::Scalar);
+    engine::Engine serial(Backend::Scalar, 1);
     auto eval = serial.toEval(a);
     EXPECT_EQ(eval.form(), Form::Eval);
     auto back = serial.toCoeff(eval);
@@ -82,7 +82,7 @@ TEST(Form, MulEvalMatchesPolymulBitIdentically)
 
     for (Backend be : test::availableCorrectBackends()) {
         SCOPED_TRACE(backendName(be));
-        rns::RnsKernels serial(basis, be);
+        engine::Engine serial(be, 1);
         auto reference = serial.polymulNegacyclic(a, b);
 
         // Staged: coeff -> eval, point-wise product, eval -> coeff.
@@ -102,7 +102,7 @@ TEST(Form, AddPreservesFormAndCommutesWithEval)
     const auto& basis = testBasis();
     auto a = rns::randomPolynomial(basis, 32, 41);
     auto b = rns::randomPolynomial(basis, 32, 42);
-    rns::RnsKernels kernels(basis, Backend::Scalar);
+    engine::Engine kernels(Backend::Scalar, 1);
 
     // The NTT is linear: toEval(a + b) == toEval(a) + toEval(b).
     auto sum_then_eval = kernels.toEval(kernels.add(a, b));
@@ -115,7 +115,7 @@ TEST(Form, MismatchesRejected)
 {
     const auto& basis = testBasis();
     auto a = rns::randomPolynomial(basis, 32, 51);
-    rns::RnsKernels kernels(basis, Backend::Scalar);
+    engine::Engine kernels(Backend::Scalar, 1);
     engine::Engine eng(Backend::Scalar, 2);
     auto eval = kernels.toEval(a);
 
@@ -153,7 +153,7 @@ TEST(FmaBatch, MatchesNaiveSumBitIdentically)
 
     for (Backend be : test::availableCorrectBackends()) {
         SCOPED_TRACE(backendName(be));
-        rns::RnsKernels serial(basis, be);
+        engine::Engine serial(be, 1);
         // Naive: k full polymuls, then k - 1 adds.
         auto naive = serial.polymulNegacyclic(as[0], bs[0]);
         for (size_t i = 1; i < k; ++i)
@@ -172,7 +172,7 @@ TEST(FmaBatch, MixedFormOperandsMatchCoeffOnly)
 {
     const auto& basis = testBasis();
     const size_t n = 64;
-    rns::RnsKernels kernels(basis, Backend::Scalar);
+    engine::Engine kernels(Backend::Scalar, 1);
     auto a0 = rns::randomPolynomial(basis, n, 61);
     auto b0 = rns::randomPolynomial(basis, n, 62);
     auto a1 = rns::randomPolynomial(basis, n, 63);
@@ -194,7 +194,7 @@ TEST(FmaBatch, EdgeCasesAndValidation)
 {
     const auto& basis = testBasis();
     rns::RnsBasis other(40, 8, 2);
-    rns::RnsKernels kernels(basis, Backend::Scalar);
+    engine::Engine kernels(Backend::Scalar, 1);
     engine::Engine eng(Backend::Scalar, 2);
     auto a = rns::randomPolynomial(basis, 32, 71);
     auto shorter = rns::randomPolynomial(basis, 16, 72);
@@ -222,7 +222,7 @@ TEST(Form, ExceptionPropagationThroughPoolTasks)
 {
     const auto& basis = testBasis();
     engine::Engine eng(Backend::Scalar, 4);
-    rns::RnsKernels serial(basis, Backend::Scalar);
+    engine::Engine serial(Backend::Scalar, 1);
 
     // n = 0 / non-power-of-two lengths cannot support an NTT; the plan
     // build throws inside a pool task and the exception must surface to
@@ -246,32 +246,38 @@ TEST(Form, ExceptionPropagationThroughPoolTasks)
 TEST(SerialTablesCache, PolymulReusesTablesAcrossCalls)
 {
     const auto& basis = testBasis();
-    rns::RnsKernels kernels(basis, Backend::Scalar);
-    EXPECT_EQ(kernels.cachedTableCount(), 0u);
+    engine::Engine kernels(Backend::Scalar, 1);
+    engine::PlanCache& cache = kernels.planCache();
+    EXPECT_EQ(cache.negacyclicCount(), 0u);
 
     auto a = rns::randomPolynomial(basis, 64, 91);
     auto b = rns::randomPolynomial(basis, 64, 92);
     auto first = kernels.polymulNegacyclic(a, b);
-    EXPECT_EQ(kernels.cachedTableCount(), basis.size());
+    EXPECT_EQ(cache.negacyclicCount(), basis.size());
+    const uint64_t builds = cache.stats().builds;
+    EXPECT_GT(builds, 0u);
     auto second = kernels.polymulNegacyclic(a, b);
-    // Same tables, same bits — and no growth in the cache.
-    EXPECT_EQ(kernels.cachedTableCount(), basis.size());
+    // Same tables, same bits — no growth in the cache, nothing rebuilt.
+    EXPECT_EQ(cache.negacyclicCount(), basis.size());
+    EXPECT_EQ(cache.stats().builds, builds);
     expectIdentical(first, second);
 
     // A different length caches its own tables; conversions share them.
     auto c = rns::randomPolynomial(basis, 32, 93);
     (void)kernels.toEval(c);
-    EXPECT_EQ(kernels.cachedTableCount(), 2 * basis.size());
+    EXPECT_EQ(cache.negacyclicCount(), 2 * basis.size());
+    const uint64_t builds_n32 = cache.stats().builds;
     (void)kernels.toCoeff(kernels.toEval(c));
-    EXPECT_EQ(kernels.cachedTableCount(), 2 * basis.size());
+    EXPECT_EQ(cache.negacyclicCount(), 2 * basis.size());
+    EXPECT_EQ(cache.stats().builds, builds_n32);
 }
 
 TEST(SerialTablesCache, SerialMatchesEngineSetupReuse)
 {
-    // The serial path with its table cache must stay bit-identical to
-    // the engine path with its PlanCache, across repeated calls.
+    // The one-thread engine must stay bit-identical to a pooled one
+    // across repeated calls, each building its tables exactly once.
     const auto& basis = testBasis();
-    rns::RnsKernels serial(basis, Backend::Scalar);
+    engine::Engine serial(Backend::Scalar, 1);
     engine::Engine eng(Backend::Scalar, 2);
     auto a = rns::randomPolynomial(basis, 64, 94);
     auto b = rns::randomPolynomial(basis, 64, 95);
@@ -279,8 +285,10 @@ TEST(SerialTablesCache, SerialMatchesEngineSetupReuse)
         expectIdentical(serial.polymulNegacyclic(a, b),
                         eng.polymulNegacyclic(a, b));
     }
-    EXPECT_EQ(serial.cachedTableCount(), basis.size());
+    EXPECT_EQ(serial.planCache().negacyclicCount(), basis.size());
     EXPECT_EQ(eng.planCache().negacyclicCount(), basis.size());
+    EXPECT_EQ(serial.planCache().stats().builds,
+              eng.planCache().stats().builds);
 }
 
 TEST(Decompose, DecomposeIntoMatchesBigIntegerDivision)

@@ -8,6 +8,7 @@
  */
 #include <gtest/gtest.h>
 
+#include "engine/engine.h"
 #include "rns/rns.h"
 #include "test_util.h"
 
@@ -95,10 +96,10 @@ TEST(RnsPolynomial, CoefficientsRoundTrip)
     EXPECT_EQ(poly.toCoefficients(), coeffs);
 }
 
-TEST(RnsKernels, PointwiseOpsMatchBigIntegerOps)
+TEST(RnsEngine, PointwiseOpsMatchBigIntegerOps)
 {
     rns::RnsBasis basis(62, 16, 3);
-    rns::RnsKernels kernels(basis, Backend::Scalar);
+    engine::Engine kernels(Backend::Scalar, 1);
     SplitMix64 rng(707);
     const size_t n = 32;
     std::vector<BigUInt> fa(n), fb(n);
@@ -117,7 +118,7 @@ TEST(RnsKernels, PointwiseOpsMatchBigIntegerOps)
     }
 }
 
-TEST(RnsKernels, NegacyclicPolymulMatchesBigIntegerSchoolbook)
+TEST(RnsEngine, NegacyclicPolymulMatchesBigIntegerSchoolbook)
 {
     // The flagship integration test: SIMD channel kernels + CRT must
     // equal direct big-integer negacyclic schoolbook over Z_Q.
@@ -133,7 +134,7 @@ TEST(RnsKernels, NegacyclicPolymulMatchesBigIntegerSchoolbook)
     auto pb = rns::RnsPolynomial::fromCoefficients(basis, fb);
 
     for (Backend be : test::availableCorrectBackends()) {
-        rns::RnsKernels kernels(basis, be);
+        engine::Engine kernels(be, 1);
         auto got = kernels.polymulNegacyclic(pa, pb).toCoefficients();
 
         // Oracle: schoolbook negacyclic product in BigUInt mod Q.
@@ -154,11 +155,11 @@ TEST(RnsKernels, NegacyclicPolymulMatchesBigIntegerSchoolbook)
     }
 }
 
-TEST(RnsKernels, MismatchedBasisRejected)
+TEST(RnsEngine, MismatchedBasisRejected)
 {
     rns::RnsBasis basis_a(60, 12, 2);
     rns::RnsBasis basis_b(58, 12, 2);
-    rns::RnsKernels kernels(basis_a, Backend::Scalar);
+    engine::Engine kernels(Backend::Scalar, 1);
     rns::RnsPolynomial pa(basis_a, 8), pb(basis_b, 8);
     EXPECT_THROW(kernels.add(pa, pb), InvalidArgument);
     rns::RnsPolynomial pc(basis_a, 4);

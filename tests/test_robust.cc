@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -289,11 +290,10 @@ TEST(Verify, FreivaldsPassesCleanPolymulsOnEveryBackend)
     const size_t n = 64;
     for (Backend backend : test::availableCorrectBackends()) {
         engine::Engine eng(backend, 1);
-        rns::RnsKernels serial(basis, backend);
         for (uint64_t trial = 0; trial < 16; ++trial) {
             auto a = rns::randomPolynomial(basis, n, 2 * trial);
             auto b = rns::randomPolynomial(basis, n, 2 * trial + 1);
-            auto c = serial.polymulNegacyclic(a, b);
+            auto c = eng.polymulNegacyclic(a, b);
             for (size_t ch = 0; ch < basis.size(); ++ch) {
                 auto tables =
                     eng.planCache().getNegacyclic(basis.prime(ch), n);
@@ -317,10 +317,9 @@ TEST(Verify, FreivaldsCatchesEverySingleBitFlip)
     const Backend backend = bestBackend();
     const size_t n = 64;
     engine::Engine eng(backend, 1);
-    rns::RnsKernels serial(basis, backend);
     auto a = rns::randomPolynomial(basis, n, 101);
     auto b = rns::randomPolynomial(basis, n, 102);
-    auto c = serial.polymulNegacyclic(a, b);
+    auto c = eng.polymulNegacyclic(a, b);
 
     SplitMix64 rng(0xfeedbeef);
     size_t detected = 0;
@@ -351,7 +350,6 @@ TEST(Verify, FmaIdentityPassesCleanAndCatchesFlips)
     const Backend backend = bestBackend();
     const size_t n = 32;
     engine::Engine eng(backend, 1);
-    rns::RnsKernels serial(basis, backend);
 
     std::vector<rns::RnsPolynomial> operands;
     std::vector<std::pair<const rns::RnsPolynomial*,
@@ -361,7 +359,7 @@ TEST(Verify, FmaIdentityPassesCleanAndCatchesFlips)
         operands.push_back(rns::randomPolynomial(basis, n, 300 + i));
     for (size_t i = 0; i < 3; ++i)
         products.emplace_back(&operands[2 * i], &operands[2 * i + 1]);
-    auto c = serial.fmaBatch(products);
+    auto c = eng.fmaBatch(products);
 
     for (size_t ch = 0; ch < basis.size(); ++ch) {
         auto tables = eng.planCache().getNegacyclic(basis.prime(ch), n);
@@ -386,7 +384,7 @@ TEST(Verify, GuardDigestIsLinearAndCatchesFlips)
 {
     const rns::RnsBasis& basis = testBasis();
     const size_t n = 64;
-    rns::RnsKernels serial(basis, bestBackend());
+    engine::Engine serial(bestBackend(), 1);
     auto a = rns::randomPolynomial(basis, n, 7);
     auto b = rns::randomPolynomial(basis, n, 8);
     auto c = serial.add(a, b);
@@ -428,7 +426,7 @@ TEST(EngineVerify, AlwaysOnVerificationPreservesResults)
     const size_t n = 128;
     auto eng =
         makeVerifyingEngine(robust::VerifyPolicy::Always, 1, 2, true);
-    rns::RnsKernels serial(basis, bestBackend());
+    engine::Engine serial(bestBackend(), 1);
     auto a = rns::randomPolynomial(basis, n, 21);
     auto b = rns::randomPolynomial(basis, n, 22);
     expectIdentical(eng.polymulNegacyclic(a, b),
@@ -446,7 +444,7 @@ TEST(EngineVerify, SampledVerificationPreservesResults)
     const rns::RnsBasis& basis = testBasis();
     const size_t n = 64;
     auto eng = makeVerifyingEngine(robust::VerifyPolicy::Sample, 4, 1);
-    rns::RnsKernels serial(basis, bestBackend());
+    engine::Engine serial(bestBackend(), 1);
     for (uint64_t t = 0; t < 12; ++t) {
         auto a = rns::randomPolynomial(basis, n, 900 + 2 * t);
         auto b = rns::randomPolynomial(basis, n, 901 + 2 * t);
@@ -463,7 +461,7 @@ TEST(EngineCancel, LiveTokenStagedPipelineIsBitIdentical)
     const rns::RnsBasis& basis = testBasis();
     const size_t n = 128;
     engine::Engine eng(bestBackend(), 2);
-    rns::RnsKernels serial(basis, bestBackend());
+    engine::Engine serial(bestBackend(), 1);
     auto a = rns::randomPolynomial(basis, n, 55);
     auto b = rns::randomPolynomial(basis, n, 56);
     robust::CancelToken token;
@@ -492,7 +490,7 @@ TEST(EngineCancel, CancelledTokenAbortsWithLeasesReleased)
     EXPECT_EQ(eng.workspacePool().leasedCount(), 0u);
     EXPECT_EQ(eng.pool().stats().submitted, eng.pool().stats().executed());
     // The engine is fully usable after the abort.
-    rns::RnsKernels serial(basis, bestBackend());
+    engine::Engine serial(bestBackend(), 1);
     expectIdentical(eng.polymulNegacyclic(a, b),
                     serial.polymulNegacyclic(a, b));
 }
@@ -604,12 +602,12 @@ TEST(FaultInjection, PlantedFlipIsDetectedAndRepairedBitIdentically)
     const size_t n = 64;
     auto a = rns::randomPolynomial(basis, n, 81);
     auto b = rns::randomPolynomial(basis, n, 82);
-    rns::RnsKernels serial(basis, bestBackend());
+    engine::Engine serial(bestBackend(), 1);
     const auto expected = serial.polymulNegacyclic(a, b);
 
     // Sampled policy with period 1: this op is sampled, the flip is
     // caught by the Freivalds check, and the repair path recomputes the
-    // corrupted channel through the fault-free serial path.
+    // corrupted channel with fault points suppressed.
     auto eng = makeVerifyingEngine(robust::VerifyPolicy::Sample, 1, 1);
     robust::FaultPlan plan(7);
     plan.arm("rns.polymul.out",
@@ -631,7 +629,7 @@ TEST(FaultInjection, UnverifiedFlipActuallyCorrupts)
     const size_t n = 64;
     auto a = rns::randomPolynomial(basis, n, 81);
     auto b = rns::randomPolynomial(basis, n, 82);
-    rns::RnsKernels serial(basis, bestBackend());
+    engine::Engine serial(bestBackend(), 1);
     const auto expected = serial.polymulNegacyclic(a, b);
 
     engine::Engine eng(bestBackend(), 1);
@@ -668,7 +666,7 @@ TEST(FaultInjection, BatchKernelFailureFallsBackBitIdentically)
     for (size_t i = 0; i < 2 * il; ++i)
         products.emplace_back(&operands[2 * i], &operands[2 * i + 1]);
 
-    rns::RnsKernels serial(basis, bestBackend());
+    engine::Engine serial(bestBackend(), 1);
     std::vector<rns::RnsPolynomial> expected;
     for (const auto& [pa, pb] : products)
         expected.push_back(serial.polymulNegacyclic(*pa, *pb));
@@ -689,6 +687,139 @@ TEST(FaultInjection, BatchKernelFailureFallsBackBitIdentically)
     EXPECT_EQ(eng.workspacePool().leasedCount(), 0u);
 }
 
+TEST(FaultInjection, RepairsRunWithFaultPointsSuppressed)
+{
+    // Every point below fires on EVERY hit (no max_fires cap), so a
+    // repair that re-entered the armed point would be corrupted again
+    // and the op would end in DataCorruption. Under suppression each
+    // channel fails its check once, is repaired once, and the repair's
+    // own pass through the point is not even counted as a hit.
+    MQX_REQUIRE_INJECTION();
+    const rns::RnsBasis& basis = testBasis();
+    const size_t n = 64;
+    const Backend backend = bestBackend();
+    auto a = rns::randomPolynomial(basis, n, 111);
+    auto b = rns::randomPolynomial(basis, n, 112);
+    // Two pairs: below every backend's interleave, so fmaBatch takes the
+    // per-channel fmaChannel path that owns rns.fma.out.
+    std::vector<std::pair<const rns::RnsPolynomial*,
+                          const rns::RnsPolynomial*>>
+        products{{&a, &b}, {&b, &a}};
+    engine::Engine serial(backend, 1);
+    const auto poly_ref = serial.polymulNegacyclic(a, b);
+    const auto fma_ref = serial.fmaBatch(products);
+    const auto add_ref = serial.add(a, b);
+
+    struct Case {
+        const char* point;
+        std::function<rns::RnsPolynomial(engine::Engine&)> run;
+        const rns::RnsPolynomial* expected;
+    };
+    const Case cases[] = {
+        {"rns.polymul.out",
+         [&](engine::Engine& e) { return e.polymulNegacyclic(a, b); },
+         &poly_ref},
+        {"rns.fma.out",
+         [&](engine::Engine& e) { return e.fmaBatch(products); }, &fma_ref},
+        {"rns.add.out", [&](engine::Engine& e) { return e.add(a, b); },
+         &add_ref},
+    };
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.point);
+        auto eng = makeVerifyingEngine(robust::VerifyPolicy::Always, 1, 2,
+                                       /*guard_digest=*/true);
+        const uint64_t repairs_before =
+            telemetry::counter("robust.repairs").value();
+        robust::FaultPlan plan(13);
+        plan.arm(c.point, {robust::FaultAction::FlipBit, 1.0});
+        robust::ScopedFaultInjection scope(std::move(plan));
+        const auto got = c.run(eng);
+        expectIdentical(got, *c.expected);
+        EXPECT_EQ(telemetry::counter("robust.repairs").value() -
+                      repairs_before,
+                  basis.size());
+        EXPECT_EQ(scope.stats(c.point).hits, basis.size());
+        EXPECT_EQ(scope.stats(c.point).fires, basis.size());
+        EXPECT_EQ(eng.workspacePool().leasedCount(), 0u);
+    }
+}
+
+TEST(FaultInjection, BatchFallbacksRunWithFaultPointsSuppressed)
+{
+    // rns.batch.pack throws on every hit, sending every tile to the
+    // per-channel fallback. The fallback's own output point is armed to
+    // flip on every hit too: only suppression keeps the fallback
+    // results clean (verification is Always, so a corrupted fallback
+    // would show up as repairs).
+    MQX_REQUIRE_INJECTION();
+    const rns::RnsBasis& basis = testBasis();
+    const size_t n = 32;
+    const Backend backend = bestBackend();
+    const size_t il = ntt::batchInterleave(backend);
+    engine::Engine serial(backend, 1);
+    if (il < 2 ||
+        !ntt::batchSupported(
+            serial.planCache().getNegacyclic(basis.prime(0), n)->plan()))
+        GTEST_SKIP() << "no interleaved batch kernels on this backend";
+
+    std::vector<rns::RnsPolynomial> operands;
+    for (uint64_t i = 0; i < 2 * 2 * il; ++i)
+        operands.push_back(rns::randomPolynomial(basis, n, 700 + i));
+    std::vector<std::pair<const rns::RnsPolynomial*,
+                          const rns::RnsPolynomial*>>
+        products;
+    for (size_t i = 0; i < 2 * il; ++i)
+        products.emplace_back(&operands[2 * i], &operands[2 * i + 1]);
+    const size_t tiles = products.size() / il;
+
+    // References before arming: per-product polymuls, and their sum.
+    std::vector<rns::RnsPolynomial> expected;
+    for (const auto& [pa, pb] : products)
+        expected.push_back(serial.polymulNegacyclic(*pa, *pb));
+    auto fma_ref = expected.front();
+    for (size_t p = 1; p < expected.size(); ++p)
+        fma_ref = serial.add(fma_ref, expected[p]);
+
+    auto eng = makeVerifyingEngine(robust::VerifyPolicy::Always, 1, 2);
+    auto countOf = [](const char* name) {
+        return telemetry::counter(name).value();
+    };
+    {
+        SCOPED_TRACE("polymulNegacyclicBatch");
+        const uint64_t fallbacks = countOf("robust.batch_fallbacks");
+        const uint64_t repairs = countOf("robust.repairs");
+        robust::FaultPlan plan(17);
+        plan.arm("rns.batch.pack", {robust::FaultAction::Throw, 1.0});
+        plan.arm("rns.polymul.out", {robust::FaultAction::FlipBit, 1.0});
+        robust::ScopedFaultInjection scope(std::move(plan));
+        auto results = eng.polymulNegacyclicBatch(products);
+        ASSERT_EQ(results.size(), expected.size());
+        for (size_t p = 0; p < results.size(); ++p)
+            expectIdentical(results[p], expected[p]);
+        EXPECT_EQ(countOf("robust.batch_fallbacks") - fallbacks,
+                  tiles * basis.size());
+        EXPECT_EQ(countOf("robust.repairs") - repairs, 0u);
+        EXPECT_EQ(scope.stats("rns.batch.pack").hits, tiles * basis.size());
+        EXPECT_EQ(scope.stats("rns.polymul.out").hits, 0u);
+    }
+    {
+        SCOPED_TRACE("fmaBatch");
+        const uint64_t fallbacks = countOf("robust.batch_fallbacks");
+        const uint64_t repairs = countOf("robust.repairs");
+        robust::FaultPlan plan(19);
+        plan.arm("rns.batch.pack", {robust::FaultAction::Throw, 1.0});
+        plan.arm("rns.fma.out", {robust::FaultAction::FlipBit, 1.0});
+        robust::ScopedFaultInjection scope(std::move(plan));
+        expectIdentical(eng.fmaBatch(products), fma_ref);
+        EXPECT_EQ(countOf("robust.batch_fallbacks") - fallbacks,
+                  basis.size());
+        EXPECT_EQ(countOf("robust.repairs") - repairs, 0u);
+        EXPECT_EQ(scope.stats("rns.batch.pack").hits, basis.size());
+        EXPECT_EQ(scope.stats("rns.fma.out").hits, 0u);
+    }
+    EXPECT_EQ(eng.workspacePool().leasedCount(), 0u);
+}
+
 TEST(FaultInjection, PlanCacheBuildFailureIsNotCached)
 {
     MQX_REQUIRE_INJECTION();
@@ -703,7 +834,7 @@ TEST(FaultInjection, PlanCacheBuildFailureIsNotCached)
     robust::ScopedFaultInjection scope(std::move(plan));
     EXPECT_THROW((void)eng.polymulNegacyclic(a, b), robust::StatusError);
     // The failed build was not cached: the next call rebuilds cleanly.
-    rns::RnsKernels serial(basis, bestBackend());
+    engine::Engine serial(bestBackend(), 1);
     expectIdentical(eng.polymulNegacyclic(a, b),
                     serial.polymulNegacyclic(a, b));
     EXPECT_EQ(eng.workspacePool().leasedCount(), 0u);
@@ -768,7 +899,7 @@ TEST(FaultInjection, StalledTaskTripsDeadlineMidPipeline)
     EXPECT_EQ(eng.workspacePool().leasedCount(), 0u);
     EXPECT_EQ(eng.pool().stats().submitted, eng.pool().stats().executed());
     // Still serviceable afterwards.
-    rns::RnsKernels serial(basis, bestBackend());
+    engine::Engine serial(bestBackend(), 1);
     expectIdentical(eng.polymulNegacyclic(a, b),
                     serial.polymulNegacyclic(a, b));
 }
